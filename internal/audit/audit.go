@@ -70,6 +70,7 @@ func CheckColumnHinted(ctx context.Context, det *core.Detector, sem *semantic.Mo
 	}
 	var out []Finding
 	_, endPattern := observe.Span(ctx, "detect_pattern")
+	var prof *repair.Profile // the column's format profile, built on first use
 	for _, f := range det.DetectColumn(values) {
 		if f.Confidence < minConf {
 			continue
@@ -78,7 +79,10 @@ func CheckColumnHinted(ctx context.Context, det *core.Detector, sem *semantic.Mo
 			Value: f.Value, Index: f.Index, Partner: f.Partner,
 			Confidence: f.Confidence, Kind: "pattern",
 		}
-		if sug, ok := repair.Suggest(values, f.Value); ok {
+		if prof == nil {
+			prof = repair.NewProfile(values)
+		}
+		if sug, ok := prof.Suggest(f.Value); ok {
 			sf.Suggestion = sug.Proposed
 			sf.SuggestionRule = sug.Rule
 		}

@@ -26,13 +26,8 @@ type Calibration struct {
 	TargetPrecision float64
 
 	// SizeOverride, when positive, replaces the statistics footprint
-	// reported by Bytes. Used by tests, what-if ablations, and batched
-	// training (where Stats is dropped between calibration and selection).
+	// reported by Bytes. Used by tests and what-if ablations.
 	SizeOverride int
-
-	// langID remembers the language when Stats has been dropped (batched
-	// training).
-	langID int
 
 	// scores are the training scores sorted ascending, with prefixNeg[i]
 	// counting incompatible examples among scores[0..i]. Together they form

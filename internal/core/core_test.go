@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -298,6 +299,22 @@ func BenchmarkDetectColumn(b *testing.B) {
 	det, _ := fullDetector(b)
 	col := []string{"2011-01-01", "2012-05-14", "2013-11-30", "2014-02-07", "2011/06/20",
 		"2015-03-12", "2016-08-01", "2017-09-22", "2018-10-05", "2019-12-31"}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = det.DetectColumn(col)
+	}
+}
+
+// BenchmarkDetectColumnLong scores a column at the detector's cap of 100
+// distinct values: two date formats, so a handful of pattern groups.
+func BenchmarkDetectColumnLong(b *testing.B) {
+	det, _ := fullDetector(b)
+	col := make([]string, 0, 100)
+	for i := 0; i < 99; i++ {
+		col = append(col, fmt.Sprintf("%d-%02d-%02d", 1990+i%30, 1+i%12, 1+i%28))
+	}
+	col = append(col, "2011/06/20")
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -2,7 +2,8 @@ package core
 
 import (
 	"errors"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/pattern"
 )
@@ -122,23 +123,39 @@ func (d *Detector) Bytes() int {
 
 // ScorePair scores a pair of raw values.
 func (d *Detector) ScorePair(u, v string) PairScore {
+	k := len(d.cals)
 	hotPairs.Add(uintptr(len(u)), 1)
-	hotLangPairs.Add(uintptr(len(v)), uint64(len(d.cals)))
-	ur, vr := pattern.Encode(u), pattern.Encode(v)
-	return d.scoreRuns(ur, vr)
+	hotLangPairs.Add(uintptr(len(v)), uint64(k))
+	hotPatternPairs.Add(uintptr(len(v)), uint64(k))
+	hu := d.appendHashes(nil, pattern.Encode(u))
+	hv := d.appendHashes(nil, pattern.Encode(v))
+	return d.score(hu, hv, make([]LangScore, k))
 }
 
-func (d *Detector) scoreRuns(ur, vr pattern.Runs) PairScore {
-	ps := PairScore{ByLanguage: make([]LangScore, len(d.cals))}
+// appendHashes appends the pattern hash of rs under each language of the
+// ensemble, in ensemble order.
+func (d *Detector) appendHashes(dst []uint64, rs pattern.Runs) []uint64 {
+	for _, c := range d.cals {
+		dst = append(dst, c.Stats.Language().HashRuns(rs))
+	}
+	return dst
+}
+
+// score is the detector's one scoring path: it fills by with each
+// language's verdict on the pattern pair whose per-language hashes are h1
+// and h2, and aggregates them. The verdict depends only on the two
+// patterns, never on the raw values behind them.
+func (d *Detector) score(h1, h2 []uint64, by []LangScore) PairScore {
 	for i, c := range d.cals {
-		s := c.Stats.NPMIRuns(ur, vr)
-		ps.ByLanguage[i] = LangScore{
+		s := c.Stats.NPMIHashes(h1[i], h2[i])
+		by[i] = LangScore{
 			LanguageID: c.Stats.Language().ID,
 			NPMI:       s,
 			Fires:      c.Covers(s),
 			Precision:  c.PrecisionAt(s),
 		}
 	}
+	ps := PairScore{ByLanguage: by}
 	d.aggregate(&ps)
 	return ps
 }
@@ -213,84 +230,188 @@ func (d *Detector) aggregate(ps *PairScore) {
 	}
 }
 
+// groupScore is the verdict on one ordered pair of pattern groups.
+type groupScore struct {
+	confidence      float64
+	flagged, scored bool
+}
+
+// columnScratch is the working memory of one DetectColumn call. It is
+// taken from scratchPool and returned after the call, so scoring a column
+// allocates nothing but its findings once the pool is warm.
+type columnScratch struct {
+	index map[string]int32 // distinct value → its position below
+	// Per distinct value, in order of first occurrence.
+	values []string
+	count  []int
+	first  []int   // row of the first occurrence
+	group  []int32 // pattern group
+	// hashes holds the K per-language pattern hashes of each group,
+	// group-major; key the hashes of the value being grouped.
+	hashes, key []uint64
+	runs        pattern.Runs
+	table       []groupScore // G×G, indexed [group(i)·G + group(j)]
+	by          []LangScore  // per-language verdicts of one group pair
+	// Attribution accumulators, per distinct value.
+	confSum, weightSum, bestConf []float64
+	bestPartner                  []int
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &columnScratch{index: make(map[string]int32)}
+}}
+
+// release drops the scratch's references to the caller's strings and
+// returns it to the pool.
+func (s *columnScratch) release() {
+	clear(s.index)
+	clear(s.values)
+	clear(s.runs[:cap(s.runs)])
+	s.values, s.count, s.first, s.group = s.values[:0], s.count[:0], s.first[:0], s.group[:0]
+	s.hashes, s.runs = s.hashes[:0], s.runs[:0]
+	scratchPool.Put(s)
+}
+
+// groupOf encodes v once, hashes it under every language of the ensemble
+// and returns the index of the group of values sharing all K hashes,
+// opening a new group when none does.
+func (s *columnScratch) groupOf(d *Detector, v string) int32 {
+	s.runs = pattern.AppendEncode(s.runs[:0], v)
+	s.key = d.appendHashes(s.key[:0], s.runs)
+	k := len(s.key)
+	for g := 0; g*k < len(s.hashes); g++ {
+		if slices.Equal(s.hashes[g*k:(g+1)*k], s.key) {
+			return int32(g)
+		}
+	}
+	s.hashes = append(s.hashes, s.key...)
+	return int32(len(s.hashes)/k - 1)
+}
+
+// zeroed returns buf resized to n elements, all zero.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // DetectColumn scores all distinct value pairs of a column and attributes
 // conflicts to suspect values: a value's confidence is the count-weighted
 // confidence of its flagged conflicts with the rest of the column, so a
 // lone error conflicting with everything scores near the per-pair
 // confidence while majority values conflicting only with the error score
 // near zero. Findings are sorted by descending confidence.
+//
+// A pair's verdict depends only on the values' patterns, so the column is
+// scored by pattern group: each distinct value is encoded and hashed once
+// per language, values sharing all K hashes form a group, and each ordered
+// pair of groups is scored once into a table that the pairwise
+// attribution loop reads.
 func (d *Detector) DetectColumn(values []string) []Finding {
 	hotValues.Add(uintptr(len(values)), uint64(len(values)))
-	type dv struct {
-		value string
-		runs  pattern.Runs
-		count int
-		first int
-	}
-	var distinct []dv
-	index := map[string]int{}
+	s := scratchPool.Get().(*columnScratch)
+	defer s.release()
 	for i, v := range values {
 		if v == "" {
 			continue // empty cells are missing data, not errors
 		}
-		if j, ok := index[v]; ok {
-			distinct[j].count++
+		if j, ok := s.index[v]; ok {
+			s.count[j]++
 			continue
 		}
-		index[v] = len(distinct)
-		distinct = append(distinct, dv{value: v, runs: pattern.Encode(v), count: 1, first: i})
+		if len(s.values) >= d.maxDistinct {
+			continue // beyond the cap: never scored
+		}
+		s.index[v] = int32(len(s.values))
+		s.values = append(s.values, v)
+		s.count = append(s.count, 1)
+		s.first = append(s.first, i)
+		s.group = append(s.group, s.groupOf(d, v))
 	}
-	if len(distinct) < 2 {
+	n := len(s.values)
+	if n < 2 {
 		return nil
 	}
-	if len(distinct) > d.maxDistinct {
-		distinct = distinct[:d.maxDistinct]
-	}
 
-	n := len(distinct)
+	k := len(d.cals)
+	g := len(s.hashes) / k
 	// One publish per column for the whole pair loop below, so the
 	// instrumentation cost is independent of n².
 	pairs := uint64(n) * uint64(n-1) / 2
 	hotPairs.Add(uintptr(n), pairs)
-	hotLangPairs.Add(uintptr(n), pairs*uint64(len(d.cals)))
-	confSum := make([]float64, n)   // Σ over conflicting partners: count·conf
-	weightSum := make([]float64, n) // Σ over all partners: count
-	bestConf := make([]float64, n)
-	bestPartner := make([]int, n)
+	hotLangPairs.Add(uintptr(n), pairs*uint64(k))
+	s.table = zeroed(s.table, g*g)
+	s.by = zeroed(s.by, k)
+	confSum := zeroed(s.confSum, n)     // Σ over conflicting partners: count·conf
+	weightSum := zeroed(s.weightSum, n) // Σ over all partners: count
+	bestConf := zeroed(s.bestConf, n)
+	bestPartner := zeroed(s.bestPartner, n)
+	s.confSum, s.weightSum, s.bestConf, s.bestPartner = confSum, weightSum, bestConf, bestPartner
 	for i := range bestPartner {
 		bestPartner[i] = -1
 	}
+	count := s.count
+	scored := 0
 	for i := 0; i < n; i++ {
+		gi := int(s.group[i])
+		row := s.table[gi*g : (gi+1)*g]
 		for j := i + 1; j < n; j++ {
-			ps := d.scoreRuns(distinct[i].runs, distinct[j].runs)
-			weightSum[i] += float64(distinct[j].count)
-			weightSum[j] += float64(distinct[i].count)
-			if !ps.Flagged {
+			gj := int(s.group[j])
+			ps := &row[gj]
+			if !ps.scored {
+				v := d.score(s.hashes[gi*k:(gi+1)*k], s.hashes[gj*k:(gj+1)*k], s.by)
+				ps.confidence, ps.flagged, ps.scored = v.Confidence, v.Flagged, true
+				scored++
+			}
+			weightSum[i] += float64(count[j])
+			weightSum[j] += float64(count[i])
+			if !ps.flagged {
 				continue
 			}
-			confSum[i] += ps.Confidence * float64(distinct[j].count)
-			confSum[j] += ps.Confidence * float64(distinct[i].count)
-			if ps.Confidence > bestConf[i] {
-				bestConf[i], bestPartner[i] = ps.Confidence, j
+			confSum[i] += ps.confidence * float64(count[j])
+			confSum[j] += ps.confidence * float64(count[i])
+			if ps.confidence > bestConf[i] {
+				bestConf[i], bestPartner[i] = ps.confidence, j
 			}
-			if ps.Confidence > bestConf[j] {
-				bestConf[j], bestPartner[j] = ps.Confidence, i
+			if ps.confidence > bestConf[j] {
+				bestConf[j], bestPartner[j] = ps.confidence, i
 			}
 		}
 	}
+	hotPatternPairs.Add(uintptr(n), uint64(scored)*uint64(k))
 
-	var out []Finding
+	found := 0
+	for i := 0; i < n; i++ {
+		if bestPartner[i] >= 0 && weightSum[i] != 0 {
+			found++
+		}
+	}
+	if found == 0 {
+		return nil
+	}
+	out := make([]Finding, 0, found)
 	for i := 0; i < n; i++ {
 		if bestPartner[i] < 0 || weightSum[i] == 0 {
 			continue
 		}
 		out = append(out, Finding{
-			Value:      distinct[i].value,
-			Index:      distinct[i].first,
-			Partner:    distinct[bestPartner[i]].value,
+			Value:      s.values[i],
+			Index:      s.first[i],
+			Partner:    s.values[bestPartner[i]],
 			Confidence: confSum[i] / weightSum[i],
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Confidence > out[j].Confidence })
+	slices.SortStableFunc(out, func(a, b Finding) int {
+		switch {
+		case a.Confidence > b.Confidence:
+			return -1
+		case b.Confidence > a.Confidence:
+			return 1
+		}
+		return 0
+	})
 	return out
 }

@@ -12,7 +12,7 @@ import (
 // fixtureCalibrations builds two deterministic calibrated languages from a
 // tiny hand-made corpus: the crude language (sees separators) and L1
 // (sees only symbols), calibrated against hand-made training pairs.
-func fixtureCalibrations(t *testing.T) []*Calibration {
+func fixtureCalibrations(t testing.TB) []*Calibration {
 	t.Helper()
 	mk := func(lang pattern.Language) *stats.LanguageStats {
 		ls := stats.NewLanguageStats(lang, 0.1)

@@ -11,6 +11,8 @@ var (
 	hotValues    observe.HotCounter // cells submitted to DetectColumn
 	hotPairs     observe.HotCounter // distinct value pairs scored
 	hotLangPairs observe.HotCounter // pair evaluations × ensemble size
+	// pattern-group pairs actually scored × ensemble size
+	hotPatternPairs observe.HotCounter
 )
 
 // HotPathStats is a snapshot of the detection hot-path counters since
@@ -21,10 +23,15 @@ type HotPathStats struct {
 	// Pairs counts distinct value pairs scored (column pairs and
 	// ScorePair calls).
 	Pairs uint64
-	// LanguagePairs counts per-language pair evaluations: every scored
-	// pair is evaluated once per ensemble language, so this is the true
-	// unit of NPMI scoring work.
+	// LanguagePairs counts Pairs × ensemble size: the per-language
+	// evaluations that scoring every value pair separately would make.
 	LanguagePairs uint64
+	// PatternPairs counts per-language scorings of pattern-group pairs:
+	// DetectColumn scores each ordered pair of groups of values that
+	// share their patterns in every language once, so this is the NPMI
+	// work actually done, and LanguagePairs/PatternPairs the saving of
+	// scoring by pattern group. ScorePair scores one pair of groups.
+	PatternPairs uint64
 }
 
 // HotPath returns the current detection hot-path counters.
@@ -33,5 +40,6 @@ func HotPath() HotPathStats {
 		Values:        hotValues.Load(),
 		Pairs:         hotPairs.Load(),
 		LanguagePairs: hotLangPairs.Load(),
+		PatternPairs:  hotPatternPairs.Load(),
 	}
 }

@@ -23,8 +23,12 @@ type Run struct {
 type Runs []Run
 
 // Encode splits v into category runs.
-func Encode(v string) Runs {
-	var out Runs
+func Encode(v string) Runs { return AppendEncode(nil, v) }
+
+// AppendEncode appends the category runs of v to dst and returns the
+// extended slice, so a caller encoding many values can reuse one buffer.
+func AppendEncode(dst Runs, v string) Runs {
+	out := dst
 	start := 0
 	n := 0
 	var cur Category = numCategories // sentinel

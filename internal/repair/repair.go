@@ -107,39 +107,86 @@ type columnProfile struct {
 	sample string
 }
 
-// profileColumn computes the dominant crude pattern of the column,
-// excluding the flagged value.
-func profileColumn(column []string, flagged string) (columnProfile, bool) {
-	g := pattern.Crude()
-	counts := map[string]int{}
-	samples := map[string]string{}
-	total := 0
+// Profile is the format profile of a whole column: the number of
+// non-empty values in each crude pattern (run lengths stripped: a date
+// column with 1- and 2-digit days is one format, not two), and the first
+// two distinct values in each. It is computed once and serves every
+// flagged value of the column, since a flagged value's view of the rest
+// of the column is the whole profile less its own occurrences.
+type Profile struct {
+	column  []string
+	counts  map[string]int
+	samples map[string][2]string
+	total   int
+}
+
+// crude is resolved once: pattern.Crude searches the language table.
+var crude = pattern.Crude()
+
+// crudePattern is the pattern dominance is computed over.
+func crudePattern(v string) string {
+	return stripRunLengths(crude.Generalize(v))
+}
+
+// NewProfile profiles column. The column must not change while the
+// profile is in use.
+func NewProfile(column []string) *Profile {
+	p := &Profile{column: column, counts: map[string]int{}, samples: map[string][2]string{}}
 	for _, v := range column {
-		if v == "" || v == flagged {
+		if v == "" {
 			continue
 		}
-		// Dominance is computed over run-length-stripped patterns: a date
-		// column with 1- and 2-digit days is one format, not two.
-		p := stripRunLengths(g.Generalize(v))
-		counts[p]++
-		total++
-		if _, ok := samples[p]; !ok {
-			samples[p] = v
+		pat := crudePattern(v)
+		p.counts[pat]++
+		p.total++
+		switch s := p.samples[pat]; {
+		case s[0] == "":
+			p.samples[pat] = [2]string{v, ""}
+		case s[1] == "" && v != s[0]:
+			p.samples[pat] = [2]string{s[0], v}
 		}
 	}
+	return p
+}
+
+// without returns the profile of the column's non-empty values other
+// than flagged. The dominant pattern is the most common one; ties go to
+// the lexicographically smallest pattern, so the result never depends on
+// map order.
+func (p *Profile) without(flagged string) (columnProfile, bool) {
+	own, ownPattern := 0, ""
+	if flagged != "" {
+		for _, v := range p.column {
+			if v == flagged {
+				own++
+			}
+		}
+		if own > 0 {
+			ownPattern = crudePattern(flagged)
+		}
+	}
+	total := p.total - own
 	if total == 0 {
 		return columnProfile{}, false
 	}
 	best, bestN := "", 0
-	for p, n := range counts {
-		if n > bestN {
-			best, bestN = p, n
+	for pat, n := range p.counts {
+		if pat == ownPattern {
+			n -= own
 		}
+		if n > bestN || (n == bestN && pat < best) {
+			best, bestN = pat, n
+		}
+	}
+	// The first distinct value in the pattern other than flagged.
+	sample := p.samples[best][0]
+	if sample == flagged {
+		sample = p.samples[best][1]
 	}
 	return columnProfile{
 		dominantPattern: best,
 		share:           float64(bestN) / float64(total),
-		sample:          samples[best],
+		sample:          sample,
 	}, true
 }
 
@@ -147,8 +194,7 @@ func profileColumn(column []string, flagged string) (columnProfile, bool) {
 // one, or is close enough (same pattern family differing only in digit run
 // lengths, e.g. 1- vs 2-digit days).
 func matchesDominant(v string, prof columnProfile) bool {
-	g := pattern.Crude()
-	return stripRunLengths(g.Generalize(v)) == prof.dominantPattern
+	return crudePattern(v) == prof.dominantPattern
 }
 
 func stripRunLengths(p string) string {
@@ -166,9 +212,16 @@ func stripRunLengths(p string) string {
 }
 
 // Suggest proposes a repair for a flagged value given its column. It
-// returns false when no conservative repair exists.
+// returns false when no conservative repair exists. Callers repairing
+// several values of one column should profile it once with NewProfile.
 func Suggest(column []string, flagged string) (Suggestion, bool) {
-	prof, ok := profileColumn(column, flagged)
+	return NewProfile(column).Suggest(flagged)
+}
+
+// Suggest proposes a repair for a flagged value of the profiled column;
+// it returns exactly what the package-level Suggest returns.
+func (p *Profile) Suggest(flagged string) (Suggestion, bool) {
+	prof, ok := p.without(flagged)
 	if !ok || flagged == "" {
 		return Suggestion{}, false
 	}

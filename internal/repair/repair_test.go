@@ -143,3 +143,77 @@ func TestHelpers(t *testing.T) {
 		t.Errorf("renderLike dec = %q", got)
 	}
 }
+
+// TestSuggestTieBreakDeterministic: with two formats equally common, the
+// dominant one is the lexicographically smallest crude pattern, on every
+// call, so identical columns always get identical suggestions.
+func TestSuggestTieBreakDeterministic(t *testing.T) {
+	col := []string{"2011-01-02", "2012-05-14", "2011/06/20", "2012/07/21", "2013.08.09"}
+	seen := map[Suggestion]int{}
+	for i := 0; i < 200; i++ {
+		s, _ := Suggest(col, "2013.08.09")
+		seen[s]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("200 calls gave %d different suggestions: %v", len(seen), seen)
+	}
+	want := Suggestion{Original: "2013.08.09", Proposed: "2013-08-09", Rule: "reformat-date", Confidence: 0.5}
+	if _, ok := seen[want]; !ok {
+		t.Errorf("suggestion = %v, want %+v (\\D-\\D-\\D sorts before \\D/\\D/\\D)", seen, want)
+	}
+}
+
+// profileWithout is the direct profile of the column's non-empty values
+// other than flagged, for checking Profile's count subtraction.
+func profileWithout(column []string, flagged string) (columnProfile, bool) {
+	counts := map[string]int{}
+	samples := map[string]string{}
+	total := 0
+	for _, v := range column {
+		if v == "" || v == flagged {
+			continue
+		}
+		p := crudePattern(v)
+		counts[p]++
+		total++
+		if _, ok := samples[p]; !ok {
+			samples[p] = v
+		}
+	}
+	if total == 0 {
+		return columnProfile{}, false
+	}
+	best, bestN := "", 0
+	for p, n := range counts {
+		if n > bestN || (n == bestN && p < best) {
+			best, bestN = p, n
+		}
+	}
+	return columnProfile{dominantPattern: best, share: float64(bestN) / float64(total), sample: samples[best]}, true
+}
+
+// TestProfileWithoutMatchesDirect: subtracting a flagged value's own
+// occurrences from the whole-column profile gives the profile computed
+// without it, for every value of columns with repeats, empty cells and
+// tied formats.
+func TestProfileWithoutMatchesDirect(t *testing.T) {
+	cols := [][]string{
+		{"2011-01-02", "2012-05-14", "2011/06/20", "2012/07/21", "2013.08.09"},
+		{"2011-01-02", "2011-01-02", "2011/06/20", "", "2011/06/20", "2012/07/21", "2011-01-02"},
+		{"72 kg", "81 kg", "154 lbs", "154 lbs", "64 kg", "", ""},
+		{"1200", "450", "98000", "1,000", "1,000", "2,500", "N/A"},
+		{"a", "a", "a"},
+		{"", ""},
+		{"x"},
+	}
+	for _, col := range cols {
+		p := NewProfile(col)
+		for _, flagged := range append([]string{"", "absent"}, col...) {
+			got, gotOK := p.without(flagged)
+			want, wantOK := profileWithout(col, flagged)
+			if got != want || gotOK != wantOK {
+				t.Errorf("column %q without %q: profile %+v/%v, direct %+v/%v", col, flagged, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}

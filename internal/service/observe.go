@@ -104,6 +104,8 @@ func (s *Server) observability() *serverObs {
 			"Distinct value pairs scored by the detector.", func() uint64 { return hp().Pairs })
 		reg.CounterFunc("autodetect_detect_language_pairs_total",
 			"Per-language pair evaluations (pairs × ensemble size).", func() uint64 { return hp().LanguagePairs })
+		reg.CounterFunc("autodetect_detect_pattern_pairs_total",
+			"Per-language scorings of pattern-group pairs (the NPMI work actually done).", func() uint64 { return hp().PatternPairs })
 		reg.CounterFunc("autodetect_sketch_estimate_total",
 			"Count-min sketch point estimates served (sampled, unbiased).",
 			func() uint64 { return sketch.HotPath().Estimates })

@@ -57,6 +57,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"autodetect_detect_values_total",
 		"autodetect_detect_pairs_total",
 		"autodetect_detect_language_pairs_total",
+		"autodetect_detect_pattern_pairs_total",
 		"autodetect_sketch_estimate_total",
 		"# TYPE autodetect_http_request_seconds histogram",
 	} {

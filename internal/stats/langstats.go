@@ -260,11 +260,16 @@ func (ls *LanguageStats) NPMIValues(v1, v2 string) float64 {
 }
 
 // NPMIRuns generalizes two category-run encoded values and returns their
-// pattern-level NPMI. This is the hot path used during calibration and
-// detection; it never materializes pattern strings.
+// pattern-level NPMI. It never materializes pattern strings.
 func (ls *LanguageStats) NPMIRuns(r1, r2 pattern.Runs) float64 {
-	h1 := ls.lang.HashRuns(r1)
-	h2 := ls.lang.HashRuns(r2)
+	return ls.NPMIHashes(ls.lang.HashRuns(r1), ls.lang.HashRuns(r2))
+}
+
+// NPMIHashes returns the pattern-level NPMI of two patterns given by their
+// hashes under the language (Language.HashRuns or pattern.Hash64). A
+// value's hash depends only on the value, so a caller scoring many pairs
+// hashes each value once and reuses the hashes across its pairs.
+func (ls *LanguageStats) NPMIHashes(h1, h2 uint64) float64 {
 	if h1 == h2 {
 		return 1
 	}
