@@ -322,6 +322,7 @@ func cmdDetect(args []string) error {
 	found := 0
 	for _, col := range cols {
 		perRow := map[int]report.Finding{}
+		var prof *repair.Profile // the column's format profile, built on first use
 		for _, finding := range det.DetectColumn(col.Values) {
 			if finding.Confidence < *minConf {
 				continue
@@ -332,7 +333,10 @@ func cmdDetect(args []string) error {
 			}
 			line := fmt.Sprintf("%s: row %d: %q conflicts with %q (confidence %.3f)",
 				col.Name, finding.Index+boolToInt(*header), finding.Value, finding.Partner, finding.Confidence)
-			if sug, ok := repair.Suggest(col.Values, finding.Value); ok {
+			if prof == nil {
+				prof = repair.NewProfile(col.Values)
+			}
+			if sug, ok := prof.Suggest(finding.Value); ok {
 				rf.Suggestion = sug.Proposed
 				line += fmt.Sprintf(" — suggest %q (%s)", sug.Proposed, sug.Rule)
 			}
